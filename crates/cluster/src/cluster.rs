@@ -18,6 +18,7 @@ use crate::keyspace::{PartitionMap, RegionId, RegionSpec, ServerId};
 use bytes::Bytes;
 use diff_index_lsm::{Cell, CellKind, LsmOptions, LsmTree, MetricsSnapshot, VersionedValue};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -292,6 +293,64 @@ pub struct PutOutcome {
     pub old_values: Vec<(Bytes, Option<VersionedValue>)>,
 }
 
+/// What [`Cluster::apply`] reports per mutation: its timestamp and, when
+/// asked, the values it replaced (one per written column).
+type Staged = (u64, Vec<Option<VersionedValue>>);
+
+/// One client mutation of one row, as [`Cluster::apply`] stages it. Client
+/// calls lend their data; observer jobs on the fan-out pool, which outlive
+/// the borrow, take an [`owned`](Mutation::owned) copy.
+enum Mutation<'a> {
+    Put { row: Cow<'a, [u8]>, columns: Cow<'a, [ColumnValue]> },
+    Delete { row: Cow<'a, [u8]>, columns: Cow<'a, [Bytes]> },
+}
+
+impl Mutation<'_> {
+    fn row(&self) -> &[u8] {
+        match self {
+            Mutation::Put { row, .. } | Mutation::Delete { row, .. } => row,
+        }
+    }
+
+    fn op(&self) -> RegionOp {
+        match self {
+            Mutation::Put { .. } => RegionOp::Put,
+            Mutation::Delete { .. } => RegionOp::Delete,
+        }
+    }
+
+    /// Append the row's cells to `out`, keyed but not yet timestamped: the
+    /// timestamp is assigned under the region lock.
+    fn push_cells(&self, out: &mut Vec<Cell>) {
+        match self {
+            Mutation::Put { row, columns } => out
+                .extend(columns.iter().map(|(c, v)| Cell::put(cell_key(row, c), 0, v.clone()))),
+            Mutation::Delete { row, columns } => {
+                out.extend(columns.iter().map(|c| Cell::delete(cell_key(row, c), 0)))
+            }
+        }
+    }
+
+    /// Run `obs`'s post-write hook for this mutation, applied at `ts`.
+    fn deliver(&self, obs: &dyn TableObserver, c: &Cluster, table: &str, ts: u64) -> Result<()> {
+        match self {
+            Mutation::Put { row, columns } => obs.post_put(c, table, row, columns, ts),
+            Mutation::Delete { row, columns } => obs.post_delete(c, table, row, columns, ts),
+        }
+    }
+
+    fn owned(&self) -> Mutation<'static> {
+        match self {
+            Mutation::Put { row, columns } => {
+                Mutation::Put { row: row.to_vec().into(), columns: columns.to_vec().into() }
+            }
+            Mutation::Delete { row, columns } => {
+                Mutation::Delete { row: row.to_vec().into(), columns: columns.to_vec().into() }
+            }
+        }
+    }
+}
+
 impl Cluster {
     /// Create a cluster of `opts.num_servers` region servers persisting
     /// under `dir`.
@@ -356,18 +415,6 @@ impl Cluster {
             return Err(ClusterError::Unavailable("no alive servers".into()));
         }
         let map = PartitionMap::even(num_regions.max(1), &servers);
-        self.install_table(name, map)
-    }
-
-    /// Create a table with explicit split points. Splits must fall on row
-    /// boundaries — pass values produced by
-    /// [`crate::encoding::row_start`].
-    pub fn create_table_with_splits(&self, name: &str, splits: &[Bytes]) -> Result<()> {
-        let servers = self.alive_servers();
-        if servers.is_empty() {
-            return Err(ClusterError::Unavailable("no alive servers".into()));
-        }
-        let map = PartitionMap::from_splits(splits, &servers);
         self.install_table(name, map)
     }
 
@@ -526,122 +573,18 @@ impl Cluster {
     /// Client put: write `columns` to `row` with a server-assigned
     /// timestamp, then run table observers (index maintenance). Returns the
     /// assigned timestamp.
-    ///
-    /// The region lock is held only while the write is *staged* (timestamp
-    /// assignment + WAL buffer + memtable); the group-commit durability
-    /// wait happens after release, so concurrent puts to one region share
-    /// fsyncs.
     pub fn put(&self, table: &str, row: &[u8], columns: &[ColumnValue]) -> Result<u64> {
-        let (region, clock) = self.route(table, &row_start(row), RegionOp::Put)?;
-        let (ts, staged) = {
-            let _w = region.write_lock.lock();
-            let ts = clock.next();
-            let cells: Vec<Cell> = columns
-                .iter()
-                .map(|(col, val)| Cell::put(cell_key(row, col), ts, val.clone()))
-                .collect();
-            (ts, region.engine.stage_batch(&cells)?)
-        };
-        if let Some(handle) = staged {
-            region.engine.complete(handle)?;
-        }
-        drop(region);
-        if self.inner.faults.take_crash_next_put() {
-            // Injected crash in the §5.3 window: the base write is durable
-            // (staged + completed above) but the server dies before its
-            // coprocessors maintain the index and before the client is
-            // acked. Only WAL-replay recovery can repair the divergence.
-            let owner = self.server_for_row(table, row)?;
-            self.crash_server(owner);
-            return Err(ClusterError::ServerDown(owner));
-        }
-        self.notify_put(table, row, columns, ts)?;
-        Ok(ts)
+        let put = Mutation::Put { row: row.into(), columns: columns.into() };
+        Ok(self.apply(table, &[put], false)?[0].0)
     }
 
-    /// Batched client put: rows are grouped by region, each region group is
-    /// staged under **one** region-lock acquisition as **one** WAL record
-    /// (with consecutive timestamps, preserving §4.3's apply-order =
-    /// timestamp-order invariant), and region groups proceed in parallel on
-    /// the fan-out pool. Observer dispatch (index maintenance) then fans
-    /// out across rows. Returns the per-row timestamps, in input order.
+    /// Batched client put. Returns the per-row timestamps, in input order.
     pub fn put_batch(&self, table: &str, rows: &[(Bytes, Vec<ColumnValue>)]) -> Result<Vec<u64>> {
-        if rows.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Route every row and group by region.
-        type Group = (Arc<Region>, Arc<TimestampOracle>, Vec<usize>);
-        let mut groups: BTreeMap<RegionId, Group> = BTreeMap::new();
-        for (i, (row, _)) in rows.iter().enumerate() {
-            let (region, clock) = self.route(table, &row_start(row), RegionOp::Put)?;
-            groups
-                .entry(region.spec.id)
-                .or_insert_with(|| (region, clock, Vec::new()))
-                .2
-                .push(i);
-        }
-        // Stage each group: one lock acquisition, one WAL record, one
-        // memtable apply per region — then one shared durability wait.
-        let tasks: Vec<_> = groups
-            .into_values()
-            .map(|(region, clock, idxs)| {
-                let group_rows: Vec<(Bytes, Vec<ColumnValue>)> =
-                    idxs.iter().map(|&i| rows[i].clone()).collect();
-                move || -> Result<(Vec<usize>, Vec<u64>)> {
-                    let (tss, staged) = {
-                        let _w = region.write_lock.lock();
-                        let mut cells = Vec::new();
-                        let mut tss = Vec::with_capacity(group_rows.len());
-                        for (row, columns) in &group_rows {
-                            let ts = clock.next();
-                            tss.push(ts);
-                            for (col, val) in columns {
-                                cells.push(Cell::put(cell_key(row, col), ts, val.clone()));
-                            }
-                        }
-                        (tss, region.engine.stage_batch(&cells)?)
-                    };
-                    if let Some(handle) = staged {
-                        region.engine.complete(handle)?;
-                    }
-                    Ok((idxs, tss))
-                }
-            })
+        let muts: Vec<_> = rows
+            .iter()
+            .map(|(row, cols)| Mutation::Put { row: row[..].into(), columns: cols[..].into() })
             .collect();
-        let mut ts_out = vec![0u64; rows.len()];
-        for staged in self.inner.fanout.run(tasks) {
-            let (idxs, tss) = staged?;
-            for (i, ts) in idxs.into_iter().zip(tss) {
-                ts_out[i] = ts;
-            }
-        }
-        // Index maintenance, fanned out across rows (each row's observers
-        // fan out again across specs inside `notify_put`).
-        let observers = self.observers_of(table);
-        if !observers.is_empty() {
-            let jobs: Vec<_> = rows
-                .iter()
-                .enumerate()
-                .map(|(i, (row, columns))| {
-                    let cluster = self.clone();
-                    let table = table.to_string();
-                    let row = row.clone();
-                    let columns = columns.clone();
-                    let observers = observers.clone();
-                    let ts = ts_out[i];
-                    move || -> Result<()> {
-                        for obs in &observers {
-                            obs.post_put(&cluster, &table, &row, &columns, ts)?;
-                        }
-                        Ok(())
-                    }
-                })
-                .collect();
-            for r in self.inner.fanout.run(jobs) {
-                r?;
-            }
-        }
-        Ok(ts_out)
+        Ok(self.apply(table, &muts, false)?.into_iter().map(|(ts, _)| ts).collect())
     }
 
     /// Like [`Cluster::put`] but also reads, *before* writing, the values the
@@ -652,91 +595,173 @@ impl Cluster {
         row: &[u8],
         columns: &[ColumnValue],
     ) -> Result<PutOutcome> {
-        let (region, clock) = self.route(table, &row_start(row), RegionOp::Put)?;
-        let (ts, old_values, staged) = {
-            let _w = region.write_lock.lock();
-            let mut old_values = Vec::with_capacity(columns.len());
-            for (col, _) in columns {
-                let old = region.engine.get(&cell_key(row, col), u64::MAX)?;
-                old_values.push((col.clone(), old));
-            }
-            let ts = clock.next();
-            let cells: Vec<Cell> = columns
-                .iter()
-                .map(|(col, val)| Cell::put(cell_key(row, col), ts, val.clone()))
-                .collect();
-            let staged = region.engine.stage_batch(&cells)?;
-            (ts, old_values, staged)
-        };
-        if let Some(handle) = staged {
-            region.engine.complete(handle)?;
-        }
-        drop(region);
-        self.notify_put(table, row, columns, ts)?;
-        Ok(PutOutcome { ts, old_values })
+        let put = Mutation::Put { row: row.into(), columns: columns.into() };
+        let (ts, old) = self.apply(table, &[put], true)?.remove(0);
+        Ok(PutOutcome { ts, old_values: columns.iter().map(|(c, _)| c.clone()).zip(old).collect() })
     }
 
     /// Client delete of the named columns (tombstones with a server-assigned
     /// timestamp), then observer dispatch.
     pub fn delete(&self, table: &str, row: &[u8], columns: &[Bytes]) -> Result<u64> {
-        let (region, clock) = self.route(table, &row_start(row), RegionOp::Delete)?;
-        let (ts, staged) = {
-            let _w = region.write_lock.lock();
-            let ts = clock.next();
-            let cells: Vec<Cell> =
-                columns.iter().map(|col| Cell::delete(cell_key(row, col), ts)).collect();
-            (ts, region.engine.stage_batch(&cells)?)
-        };
-        if let Some(handle) = staged {
-            region.engine.complete(handle)?;
+        let delete = Mutation::Delete { row: row.into(), columns: columns.into() };
+        Ok(self.apply(table, &[delete], false)?[0].0)
+    }
+
+    /// The one client write path: `PB` (the base write), then the table's
+    /// observers — the index scheme's coprocessor (Algorithm 1 SU1–SU4,
+    /// §4.2 SU1–SU2, Algorithm 3 AU1). Returns each mutation's timestamp
+    /// and, with `want_old`, the values it replaced, in input order.
+    ///
+    /// * Rows are routed one by one (one dispatch-counter bump each) and
+    ///   grouped by region. Each group is staged under **one** region-lock
+    ///   acquisition as **one** WAL record with consecutive timestamps
+    ///   (§4.3: apply order = timestamp order); groups run in parallel on
+    ///   the fan-out pool. A single row skips the grouping.
+    /// * The lock covers only the stage: the group-commit durability wait
+    ///   runs after release, so concurrent writers to a region share fsyncs.
+    /// * `want_old` reads each row's pre-image under the lock, before the
+    ///   group is staged.
+    /// * An armed crash-mid-put fault fires here, for every write kind:
+    ///   once the base writes are durable, the owner of the first row
+    ///   crashes. Its rows skip observer dispatch (WAL replay re-delivers
+    ///   them, §5.3), every other row's observers still run, and the call
+    ///   fails with `ServerDown`.
+    /// * Observers run per row, fanned out per index spec; rows fan out
+    ///   across the pool when there is more than one.
+    fn apply(&self, table: &str, muts: &[Mutation<'_>], want_old: bool) -> Result<Vec<Staged>> {
+        /// Stage one region group: `cells` holds every row's cells, `ends[i]`
+        /// closes row `i`'s run.
+        fn stage(
+            region: &Region,
+            clock: &TimestampOracle,
+            mut cells: Vec<Cell>,
+            ends: &[usize],
+            want_old: bool,
+        ) -> Result<Vec<Staged>> {
+            let (out, staged) = {
+                let _w = region.write_lock.lock();
+                let mut out = Vec::with_capacity(ends.len());
+                let mut start = 0;
+                for &end in ends {
+                    let mut old = Vec::new();
+                    if want_old {
+                        for c in &cells[start..end] {
+                            old.push(region.engine.get(&c.key.user_key, u64::MAX)?);
+                        }
+                    }
+                    let ts = clock.next();
+                    cells[start..end].iter_mut().for_each(|c| c.key.ts = ts);
+                    out.push((ts, old));
+                    start = end;
+                }
+                (out, region.engine.stage_batch(&cells)?)
+            };
+            if let Some(handle) = staged {
+                region.engine.complete(handle)?;
+            }
+            Ok(out)
         }
-        drop(region);
-        let columns_owned = columns.to_vec();
-        let row_owned = Bytes::copy_from_slice(row);
-        self.notify_observers(table, move |obs, cluster, table| {
-            obs.post_delete(cluster, table, &row_owned, &columns_owned, ts)
-        })?;
-        Ok(ts)
+
+        if muts.is_empty() {
+            return Ok(Vec::new());
+        }
+        let staged = if let [m] = muts {
+            let (region, clock) = self.route(table, &row_start(m.row()), m.op())?;
+            let mut cells = Vec::new();
+            m.push_cells(&mut cells);
+            let ends = [cells.len()];
+            stage(&region, &clock, cells, &ends, want_old)?
+        } else {
+            // Per region: its clock, the input indexes, cells and row ends.
+            type Group = (Arc<Region>, Arc<TimestampOracle>, Vec<usize>, Vec<Cell>, Vec<usize>);
+            let mut groups: BTreeMap<RegionId, Group> = BTreeMap::new();
+            for (i, m) in muts.iter().enumerate() {
+                let (region, clock) = self.route(table, &row_start(m.row()), m.op())?;
+                let g = groups.entry(region.spec.id).or_insert_with(|| {
+                    (region, clock, Vec::new(), Vec::new(), Vec::new())
+                });
+                g.2.push(i);
+                m.push_cells(&mut g.3);
+                g.4.push(g.3.len());
+            }
+            let tasks: Vec<_> = groups
+                .into_values()
+                .map(|(region, clock, idxs, cells, ends)| {
+                    move || stage(&region, &clock, cells, &ends, want_old).map(|out| (idxs, out))
+                })
+                .collect();
+            let mut staged = vec![(0, Vec::new()); muts.len()];
+            for group in self.inner.fanout.run(tasks) {
+                let (idxs, out) = group?;
+                for (i, o) in idxs.into_iter().zip(out) {
+                    staged[i] = o;
+                }
+            }
+            staged
+        };
+
+        let mut crashed = None;
+        if self.inner.faults.take_crash_next_put() {
+            // Injected crash in the §5.3 window: the base writes are durable
+            // but the server dies before its coprocessors maintain the index
+            // and before the client is acked. Only WAL-replay recovery can
+            // repair the divergence.
+            let owner = self.server_for_row(table, muts[0].row())?;
+            self.crash_server(owner);
+            crashed = Some(owner);
+        }
+
+        let observers = self.observers_of(table);
+        let notified = match (muts, crashed) {
+            _ if observers.is_empty() => Ok(()),
+            ([m], None) => self.notify_observers(table, &observers, m, staged[0].0),
+            ([_], Some(_)) => Ok(()),
+            _ => {
+                let jobs: Vec<_> = muts
+                    .iter()
+                    .zip(&staged)
+                    .filter(|(m, _)| {
+                        crashed.is_none() || self.server_for_row(table, m.row()).ok() != crashed
+                    })
+                    .map(|(m, &(ts, _))| {
+                        let (cluster, table) = (self.clone(), table.to_string());
+                        let (observers, m) = (observers.clone(), m.owned());
+                        move || cluster.notify_observers(&table, &observers, &m, ts)
+                    })
+                    .collect();
+                self.inner.fanout.run(jobs).into_iter().collect()
+            }
+        };
+        match crashed {
+            Some(owner) => Err(ClusterError::ServerDown(owner)),
+            None => notified.map(|()| staged),
+        }
     }
 
-    /// Dispatch `post_put` to every observer of `table`. One shared helper
-    /// replaces the loops formerly copy-pasted into `put`, `put_returning`
-    /// and `delete`.
-    fn notify_put(&self, table: &str, row: &[u8], columns: &[ColumnValue], ts: u64) -> Result<()> {
-        let row = Bytes::copy_from_slice(row);
-        let columns = columns.to_vec();
-        self.notify_observers(table, move |obs, cluster, table| {
-            obs.post_put(cluster, table, &row, &columns, ts)
-        })
-    }
-
-    /// Run one observer callback per observer of `table`. Multiple
+    /// Hand one applied row to every observer of `table`. Multiple
     /// observers — one per index spec — run **in parallel** on the fan-out
     /// pool, since their index tables are independent; the first error (in
     /// observer-registration order) wins.
-    fn notify_observers<F>(&self, table: &str, callback: F) -> Result<()>
-    where
-        F: Fn(&dyn TableObserver, &Cluster, &str) -> Result<()> + Send + Sync + 'static,
-    {
-        let observers = self.observers_of(table);
-        match observers.len() {
-            0 => Ok(()),
-            1 => callback(observers[0].as_ref(), self, table),
-            _ => {
-                let callback = Arc::new(callback);
-                let tasks: Vec<_> = observers
-                    .into_iter()
-                    .map(|obs| {
-                        let callback = Arc::clone(&callback);
-                        let cluster = self.clone();
-                        let table = table.to_string();
-                        move || callback(obs.as_ref(), &cluster, &table)
-                    })
-                    .collect();
-                let results = self.inner.fanout.run(tasks);
-                results.into_iter().find(|r| r.is_err()).unwrap_or(Ok(()))
-            }
+    fn notify_observers(
+        &self,
+        table: &str,
+        observers: &[Arc<dyn TableObserver>],
+        m: &Mutation<'_>,
+        ts: u64,
+    ) -> Result<()> {
+        if let [obs] = observers {
+            return m.deliver(obs.as_ref(), self, table, ts);
         }
+        let m = Arc::new(m.owned());
+        let tasks: Vec<_> = observers
+            .iter()
+            .map(|obs| {
+                let (obs, m) = (Arc::clone(obs), Arc::clone(&m));
+                let (cluster, table) = (self.clone(), table.to_string());
+                move || m.deliver(obs.as_ref(), &cluster, &table, ts)
+            })
+            .collect();
+        self.inner.fanout.run(tasks).into_iter().collect()
     }
 
     /// Internal put with an explicit timestamp and NO observer dispatch.
@@ -901,15 +926,6 @@ impl Cluster {
     pub fn compact_table(&self, table: &str) -> Result<()> {
         for engine in self.engines_of(table)? {
             engine.compact()?;
-        }
-        Ok(())
-    }
-
-    /// Flush every region of every table.
-    pub fn flush_all(&self) -> Result<()> {
-        let names: Vec<String> = self.inner.tables.read().keys().cloned().collect();
-        for n in names {
-            self.flush_table(&n)?;
         }
         Ok(())
     }

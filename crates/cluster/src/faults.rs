@@ -6,8 +6,9 @@
 //! * one shared [`FaultInjector`] plumbed into **every region engine** the
 //!   cluster opens (including engines reopened by recovery), so a chaos
 //!   harness can make the next WAL fsync or append fail wherever it lands;
-//! * a **crash-mid-put** trigger: the next client `put` crashes its hosting
-//!   server *after* the base write is durably applied but *before* the
+//! * a **crash-mid-put** trigger: the next client write of any kind (put,
+//!   batch, put-returning or delete) crashes its hosting server *after* the
+//!   base write is durably applied but *before* the
 //!   coprocessors run or the client is acked — the exact §5.3 window where
 //!   the base table and the index diverge until WAL-replay recovery
 //!   re-enqueues the maintenance work.
@@ -22,7 +23,7 @@ use std::sync::Arc;
 pub struct FaultPlan {
     /// Engine-level injector shared by every region engine of the cluster.
     lsm: Arc<FaultInjector>,
-    /// When set, the next client `put` crashes its server between the
+    /// When set, the next client write crashes its server between the
     /// durable base write and observer dispatch.
     crash_next_put: AtomicBool,
     /// How many crash-mid-put faults actually fired.
@@ -46,9 +47,10 @@ impl FaultPlan {
         &self.lsm
     }
 
-    /// Arm the crash-mid-put trigger: the next client `put` (not
-    /// `put_batch`/`raw_put`) crashes its hosting server after the base
-    /// write commits, before index maintenance and before the ack.
+    /// Arm the crash-mid-put trigger: the next client write (`put`,
+    /// `put_batch`, `put_returning` or `delete`; not `raw_put`) crashes the
+    /// server hosting its first row after the base write commits, before
+    /// index maintenance and before the ack.
     pub fn arm_crash_on_next_put(&self) {
         self.crash_next_put.store(true, Ordering::Release);
     }

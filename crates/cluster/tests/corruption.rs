@@ -75,3 +75,49 @@ fn flipped_block_bit_surfaces_as_typed_corruption() {
         .put("t", b"row0", &[(Bytes::from("c"), Bytes::from("fresh"))])
         .expect("writes must survive read-path corruption");
 }
+
+/// A corrupt block must fail scans and compaction, not shorten them: a
+/// table iterator that silently stops at an unreadable block would make a
+/// scan return a subset of the rows, and a compaction publish that subset
+/// and delete the only copy of the rest.
+#[test]
+fn corrupt_block_fails_scan_and_compaction_instead_of_dropping_rows() {
+    let dir = tempdir_lite::TempDir::new("corrupt-scan").unwrap();
+    let cluster = Cluster::new(dir.path(), ClusterOptions::default()).unwrap();
+    cluster.create_table("t", 1).unwrap();
+    let col = || Bytes::from("c");
+    for batch in 0..2 {
+        for i in 0..8 {
+            let row = format!("row{:02}", batch * 8 + i);
+            cluster.put("t", row.as_bytes(), &[(col(), Bytes::from(row.clone()))]).unwrap();
+        }
+        cluster.flush_table("t").unwrap();
+    }
+    let mut tables = Vec::new();
+    find_sstables(dir.path(), &mut tables);
+    tables.sort();
+    assert_eq!(tables.len(), 2, "two flushes into one region, no compaction yet");
+    // File numbers grow, so the first path is the first flush's table.
+    let first = &tables[0];
+    let mut bytes = std::fs::read(first).unwrap();
+    bytes[0] ^= 0x01;
+    std::fs::write(first, &bytes).unwrap();
+
+    match cluster.scan_rows("t", b"", None, u64::MAX, usize::MAX) {
+        Err(ClusterError::Storage(LsmError::Corruption(_))) => {}
+        Err(e) => panic!("scan over a corrupt block surfaced the wrong error: {e}"),
+        Ok(rows) => panic!("scan over a corrupt block returned {} rows", rows.len()),
+    }
+    match cluster.compact_table("t") {
+        Err(ClusterError::Storage(LsmError::Corruption(_))) => {}
+        other => panic!("compaction over a corrupt block must fail, got {other:?}"),
+    }
+    assert!(first.exists(), "a failed compaction must keep its input tables");
+    let mut after = Vec::new();
+    find_sstables(dir.path(), &mut after);
+    after.sort();
+    assert_eq!(after, tables, "a failed compaction publishes no output table");
+    // Rows of the intact table still read back.
+    let got = cluster.get("t", b"row12", b"c", u64::MAX).unwrap().unwrap();
+    assert_eq!(got.value, Bytes::from("row12"));
+}

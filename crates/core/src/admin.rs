@@ -13,10 +13,10 @@
 //!   no AUQ — the queue lives server-side.
 
 use crate::error::{IndexError, Result};
-use crate::observers::{AsyncObserver, SyncFullObserver, SyncInsertObserver};
+use crate::observers::SchemeObserver;
 use crate::read::{self, IndexHit};
 use crate::session::{Session, SessionConfig};
-use crate::spec::{IndexScheme, IndexSpec};
+use crate::spec::IndexSpec;
 use crate::store::Store;
 use crate::{auq::Auq, encoding::index_row};
 use bytes::Bytes;
@@ -146,11 +146,6 @@ impl DiffIndex {
         &self.inner.store
     }
 
-    /// True if this instance administers indexes in-process.
-    pub fn is_local(&self) -> bool {
-        self.inner.local.is_some()
-    }
-
     /// `CREATE INDEX`: create the (global, key-only) index table with
     /// `num_regions` regions, attach the scheme's observer to the base
     /// table, and backfill entries for pre-existing base rows. On a remote
@@ -178,23 +173,9 @@ impl DiffIndex {
                 // Register the observer BEFORE backfilling so concurrent
                 // writes are not missed; backfill re-writing an entry the
                 // observer already wrote is idempotent (same timestamp).
-                let (observer_token, auq) = match spec.scheme {
-                    IndexScheme::SyncFull => {
-                        let obs = Arc::new(SyncFullObserver::new(cluster, Arc::clone(&spec)));
-                        let auq = Arc::clone(obs.auq());
-                        (cluster.register_observer(&spec.base_table, obs)?, auq)
-                    }
-                    IndexScheme::SyncInsert => {
-                        let obs = Arc::new(SyncInsertObserver::new(cluster, Arc::clone(&spec)));
-                        let auq = Arc::clone(obs.auq());
-                        (cluster.register_observer(&spec.base_table, obs)?, auq)
-                    }
-                    IndexScheme::AsyncSimple | IndexScheme::AsyncSession => {
-                        let obs = Arc::new(AsyncObserver::new(cluster, Arc::clone(&spec)));
-                        let auq = Arc::clone(obs.auq());
-                        (cluster.register_observer(&spec.base_table, obs)?, auq)
-                    }
-                };
+                let obs = Arc::new(SchemeObserver::new(cluster, Arc::clone(&spec)));
+                let auq = Arc::clone(obs.auq());
+                let observer_token = cluster.register_observer(&spec.base_table, obs)?;
 
                 self.backfill(&spec)?;
                 Arc::new(IndexHandle { spec: Arc::clone(&spec), auq: Some(auq), observer_token })

@@ -22,7 +22,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on re-delivery attempts for a failing task. The paper retries
 /// "until eventually success"; a bound keeps a permanently broken cluster
@@ -55,7 +55,12 @@ pub enum Admission {
 /// Construction options for [`Auq::start_with_options`].
 #[derive(Debug, Clone)]
 pub struct AuqOptions {
-    /// APS worker threads (clamped to ≥ 1).
+    /// APS worker threads (clamped to ≥ 1). Tasks are pulled from the
+    /// shared queue by whichever worker is free, so index maintenance for
+    /// independent rows proceeds in parallel; §5.1's per-task protocol is
+    /// unchanged. Tasks for the *same* row may then complete out of order —
+    /// harmless, because every index entry carries its base entry's
+    /// timestamp (§4.3), making delivery commutative.
     pub workers: usize,
     /// Queue capacity; `usize::MAX` = unbounded (the default). The bound is
     /// soft by one batch: a batch admitted into remaining space may
@@ -105,8 +110,13 @@ pub enum IndexTask {
     },
 }
 
+/// A queued task: the task, its failed attempts so far, and when it was
+/// first enqueued (retries keep the original instant, so the measured lag
+/// covers the whole time the index trailed the base write).
+type Queued = (IndexTask, u32, Instant);
+
 struct State {
-    queue: VecDeque<(IndexTask, u32)>,
+    queue: VecDeque<Queued>,
     paused: bool,
     in_flight: usize,
     shutdown: bool,
@@ -129,9 +139,12 @@ pub struct AuqMetrics {
     pub retries: AtomicU64,
     /// Tasks dropped after exhausting retries.
     pub dropped: AtomicU64,
-    /// Sum of (completion wall time − base timestamp) in ms.
+    /// Sum over completed `Maintain` tasks of the time from enqueue to
+    /// completion, in ms: how long the index trailed the base write.
+    /// Measured on a monotonic clock, not against the base timestamp,
+    /// which the timestamp oracle may run ahead of wall time.
     pub lag_sum_ms: AtomicU64,
-    /// Maximum observed lag in ms.
+    /// Largest enqueue-to-completion time of a `Maintain` task, in ms.
     pub lag_max_ms: AtomicU64,
     /// Synchronous index updates whose SU2 (new-entry put) and SU3/SU4
     /// (pre-image read + old-entry delete) arms were dispatched in parallel.
@@ -194,22 +207,7 @@ impl std::fmt::Debug for Auq {
 impl Auq {
     /// Create the queue and start a single APS worker thread.
     pub fn start(cluster: WeakCluster, spec: Arc<IndexSpec>) -> Arc<Self> {
-        Self::start_with_workers(cluster, spec, 1)
-    }
-
-    /// Create the queue and start `workers` APS worker threads (at least
-    /// one). Tasks are pulled from the shared queue by whichever worker is
-    /// free, so index maintenance for independent rows proceeds in parallel;
-    /// §5.1's per-task protocol is unchanged. Note that tasks for the *same*
-    /// row may then complete out of order — harmless, because every index
-    /// entry carries its base entry's timestamp (§4.3), making delivery
-    /// commutative.
-    pub fn start_with_workers(
-        cluster: WeakCluster,
-        spec: Arc<IndexSpec>,
-        workers: usize,
-    ) -> Arc<Self> {
-        Self::start_with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
+        Self::start_with_options(cluster, spec, AuqOptions::default())
     }
 
     /// Create the queue with explicit worker count, capacity, and admission
@@ -312,8 +310,9 @@ impl Auq {
             }
         }
         let mut n = 0u64;
+        let now = Instant::now();
         for task in batch {
-            s.queue.push_back((task, 0));
+            s.queue.push_back((task, 0, now));
             n += 1;
         }
         self.metrics.enqueued.fetch_add(n, Ordering::Relaxed);
@@ -429,7 +428,7 @@ impl Auq {
                     self.cv.wait_for(&mut s, Duration::from_millis(100));
                 }
             };
-            let (task, attempts) = task;
+            let (task, attempts, enqueued) = task;
             let outcome = match self.cluster.upgrade() {
                 Some(cluster) => self.execute(&cluster, &task),
                 None => {
@@ -446,14 +445,13 @@ impl Auq {
             match outcome {
                 Ok(()) => {
                     self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                    if let IndexTask::Maintain { ts, .. } = &task {
-                        let lag = wall_ms().saturating_sub(*ts);
-                        self.metrics.record_lag(lag);
+                    if let IndexTask::Maintain { .. } = &task {
+                        self.metrics.record_lag(enqueued.elapsed().as_millis() as u64);
                     }
                 }
                 Err(_) if attempts + 1 < MAX_RETRIES => {
                     self.metrics.retries.fetch_add(1, Ordering::Relaxed);
-                    s.queue.push_back((task, attempts + 1));
+                    s.queue.push_back((task, attempts + 1, enqueued));
                     // Back off before the next attempt so a transiently
                     // unavailable region (crashed server awaiting master
                     // recovery) gets time to come back. Capped so that a
@@ -576,13 +574,6 @@ pub fn read_index_values(
         }
     }
     Ok(Some(vals))
-}
-
-fn wall_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -720,7 +711,8 @@ mod tests {
     #[test]
     fn multi_worker_drain_completes_all_pending_work() {
         let (_d, cluster, spec, _single) = setup();
-        let auq = Auq::start_with_workers(cluster.downgrade(), Arc::clone(&spec), 4);
+        let opts = AuqOptions { workers: 4, ..AuqOptions::default() };
+        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
         assert_eq!(auq.workers(), 4);
         for i in 0..100 {
             let row = format!("row{i:03}");
@@ -751,7 +743,8 @@ mod tests {
     #[test]
     fn zero_workers_is_clamped_to_one() {
         let (_d, cluster, spec, _single) = setup();
-        let auq = Auq::start_with_workers(cluster.downgrade(), Arc::clone(&spec), 0);
+        let opts = AuqOptions { workers: 0, ..AuqOptions::default() };
+        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
         assert_eq!(auq.workers(), 1);
         let ts = cluster.put("base", b"r1", &[(b("name"), b("v"))]).unwrap();
         auq.enqueue(IndexTask::Maintain {

@@ -1,9 +1,9 @@
-//! Analytic I/O cost of each scheme — the paper's Table 2 and the latency
-//! equations of §4/§5.
+//! Analytic I/O cost of each scheme — the paper's Table 2.
 //!
 //! The benchmark harness (`table2` binary) validates these numbers against
-//! counters measured on the real engine, and the simulator uses them to
-//! expand a client operation into per-server work.
+//! counters measured on the real engine. The simulator keeps its own step
+//! expansion of the same table (`diff_index_sim::ops`); a test there holds
+//! the two encodings to the same operation counts.
 
 use crate::spec::IndexScheme;
 
@@ -93,25 +93,6 @@ pub fn read_cost(scheme: IndexScheme, k: u32) -> IoCost {
     }
 }
 
-/// §4.1 Equation 1 / §4.2 Equation 2 / §5.1, as latency compositions.
-/// Given per-op latencies, returns the client-visible index-update latency
-/// added on top of the base put for each scheme.
-pub fn index_update_latency(
-    scheme: IndexScheme,
-    l_pi: f64,
-    l_rb: f64,
-    l_di: f64,
-) -> f64 {
-    match scheme {
-        // L(sync-full) = L(PI) + L(RB) + L(DI)        (Equation 1)
-        IndexScheme::SyncFull => l_pi + l_rb + l_di,
-        // L(sync-insert) = L(PI)                      (Equation 2)
-        IndexScheme::SyncInsert => l_pi,
-        // async: only the AUQ enqueue is on the client path.
-        IndexScheme::AsyncSimple | IndexScheme::AsyncSession => 0.0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,20 +133,5 @@ mod tests {
         assert_eq!((i.base_read, i.index_read, i.index_put), (5, 1, 5));
         let a = read_cost(IndexScheme::AsyncSimple, 5);
         assert_eq!((a.base_read, a.index_read), (0, 1));
-    }
-
-    #[test]
-    fn equation_1_dominated_by_base_read() {
-        // In LSM, L(RB) >> L(PI), L(DI): check sync-full inherits that.
-        let (pi, rb, di) = (0.5, 8.0, 0.5);
-        let full = index_update_latency(IndexScheme::SyncFull, pi, rb, di);
-        let insert = index_update_latency(IndexScheme::SyncInsert, pi, rb, di);
-        let asynch = index_update_latency(IndexScheme::AsyncSimple, pi, rb, di);
-        assert_eq!(full, 9.0);
-        assert_eq!(insert, 0.5);
-        assert_eq!(asynch, 0.0);
-        // The paper's 60–80 % latency-reduction claim holds analytically:
-        let reduction = 1.0 - insert / full;
-        assert!(reduction > 0.6, "sync-insert cuts >60% of index update latency");
     }
 }

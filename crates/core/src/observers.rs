@@ -1,16 +1,16 @@
-//! The Diff-Index coprocessors (§7, Figure 6): `SyncFullObserver`,
-//! `SyncInsertObserver` and `AsyncObserver`, attached to index-enabled base
-//! tables. They intercept every base-table mutation and maintain the index
-//! according to the chosen scheme.
+//! The Diff-Index coprocessor (§7, Figure 6): one [`SchemeObserver`] per
+//! index, attached to the index-enabled base table. It intercepts every
+//! base-table mutation and maintains the index according to the index's
+//! scheme.
 //!
-//! All three share the concurrency-control invariant of §4.3: **an index
-//! entry always carries the same timestamp as the base entry it is
+//! Every scheme shares the concurrency-control invariant of §4.3: **an
+//! index entry always carries the same timestamp as the base entry it is
 //! associated with**, and old-entry operations happen at `t − δ`.
 
-use crate::auq::{new_index_values, read_index_values, Admission, Auq, AuqOptions, IndexTask};
+use crate::auq::{new_index_values, read_index_values, Admission, Auq, IndexTask};
 use crate::encoding::index_row;
-use crate::error::Result;
-use crate::spec::IndexSpec;
+use crate::error::{IndexError, Result};
+use crate::spec::{IndexScheme, IndexSpec};
 use bytes::Bytes;
 use diff_index_cluster::{Cluster, ColumnValue, ReplayedOp, TableObserver};
 use diff_index_lsm::DELTA;
@@ -20,6 +20,14 @@ use std::sync::Arc;
 /// Key-only index entry payload: one empty column with an empty value.
 fn null_cell() -> Vec<ColumnValue> {
     vec![(Bytes::new(), Bytes::new())]
+}
+
+/// A batch the AUQ turned away surfaces as [`IndexError::AuqFull`].
+fn admitted(admission: Admission) -> Result<()> {
+    match admission {
+        Admission::Admitted => Ok(()),
+        Admission::Rejected(n) => Err(IndexError::AuqFull { rejected: n }),
+    }
 }
 
 /// Chaos-testing switch (process-global): when set, the synchronous repair
@@ -51,6 +59,34 @@ fn old_entry_ts(ts: u64) -> u64 {
     }
 }
 
+/// SU2: put the new index entry, with the base timestamp. A failed put
+/// comes back as its AUQ retry task.
+fn put_new_entry(
+    cluster: &Cluster,
+    spec: &IndexSpec,
+    row: &[u8],
+    new: &[Bytes],
+    ts: u64,
+) -> Option<IndexTask> {
+    let index_row = index_row(new, row);
+    let put = cluster.raw_put(&spec.index_table(), &index_row, &null_cell(), ts);
+    put.err().map(|_| IndexTask::PutIndex { index_row, ts })
+}
+
+/// SU4: delete the old index entry at `ts` (already `t − δ`). A failed
+/// delete comes back as its AUQ retry task.
+fn delete_old_entry(
+    cluster: &Cluster,
+    spec: &IndexSpec,
+    row: &[u8],
+    old: &[Bytes],
+    ts: u64,
+) -> Option<IndexTask> {
+    let index_row = index_row(old, row);
+    let delete = cluster.raw_delete(&spec.index_table(), &index_row, &[Bytes::new()], ts);
+    delete.err().map(|_| IndexTask::DeleteIndex { index_row, ts })
+}
+
 /// Shared synchronous index-update steps SU2–SU4 of Algorithm 1. `do_repair`
 /// controls whether SU3/SU4 (read old value, delete old entry) run —
 /// `sync-full` does, `sync-insert` skips them. Failed operations are pushed
@@ -65,7 +101,7 @@ fn old_entry_ts(ts: u64) -> u64 {
 fn sync_update(
     cluster: &Cluster,
     spec: &Arc<IndexSpec>,
-    auq: &Arc<Auq>,
+    auq: &Auq,
     row: &[u8],
     columns: &[ColumnValue],
     ts: u64,
@@ -76,71 +112,41 @@ fn sync_update(
     let new_vals = new_index_values(cluster, spec, row, columns, ts)?;
     if !do_repair {
         // SU2 only — no repair arm, nothing to fan out.
-        if let Some(vals) = &new_vals {
-            let new_key = index_row(vals, row);
-            if cluster.raw_put(&spec.index_table(), &new_key, &null_cell(), ts).is_err() {
-                if let Admission::Rejected(n) =
-                    auq.enqueue(IndexTask::PutIndex { index_row: new_key, ts })
-                {
-                    return Err(crate::error::IndexError::AuqFull { rejected: n });
-                }
-            }
-        }
-        return Ok(());
+        let retry = new_vals.and_then(|new| put_new_entry(cluster, spec, row, &new, ts));
+        return admitted(auq.enqueue_many(retry));
     }
 
-    type Arm = Box<dyn FnOnce() -> Result<Vec<IndexTask>> + Send + 'static>;
+    type Arm = Box<dyn FnOnce() -> Result<Option<IndexTask>> + Send + 'static>;
     let row = Bytes::copy_from_slice(row);
-    let mut arms: Vec<Arm> = Vec::with_capacity(2);
-    {
-        // SU2: put the new index entry, with the base timestamp.
-        let cluster = cluster.clone();
-        let spec = Arc::clone(spec);
-        let new_vals = new_vals.clone();
-        let row = row.clone();
-        arms.push(Box::new(move || {
-            if let Some(vals) = &new_vals {
-                let new_key = index_row(vals, &row);
-                if cluster.raw_put(&spec.index_table(), &new_key, &null_cell(), ts).is_err() {
-                    return Ok(vec![IndexTask::PutIndex { index_row: new_key, ts }]);
-                }
-            }
-            Ok(Vec::new())
-        }));
-    }
-    {
-        // SU3: read the pre-image — RB(k, tnew − δ).
-        // SU4: delete the old entry at tnew − δ. The δ matters twice (§4.3):
-        // reading at tnew would see the new value; deleting at tnew would
-        // kill the entry just written when vold == vnew. Skipping the delete
-        // when the values are equal avoids pointless work.
-        let cluster = cluster.clone();
-        let spec = Arc::clone(spec);
-        arms.push(Box::new(move || {
+    let su2: Arm = {
+        let (cluster, spec, row, new_vals) =
+            (cluster.clone(), Arc::clone(spec), row.clone(), new_vals.clone());
+        Box::new(move || {
+            Ok(new_vals.and_then(|new| put_new_entry(&cluster, &spec, &row, &new, ts)))
+        })
+    };
+    // SU3: read the pre-image — RB(k, tnew − δ).
+    // SU4: delete the old entry at tnew − δ. The δ matters twice (§4.3):
+    // reading at tnew would see the new value; deleting at tnew would
+    // kill the entry just written when vold == vnew. Skipping the delete
+    // when the values are equal avoids pointless work.
+    let su3_su4: Arm = {
+        let (cluster, spec) = (cluster.clone(), Arc::clone(spec));
+        Box::new(move || {
             let old_ts = old_entry_ts(ts);
-            let old_vals = read_index_values(&cluster, &spec, &row, old_ts)?;
-            if let Some(old) = old_vals {
-                if Some(&old) != new_vals.as_ref() {
-                    let old_key = index_row(&old, &row);
-                    if cluster
-                        .raw_delete(&spec.index_table(), &old_key, &[Bytes::new()], old_ts)
-                        .is_err()
-                    {
-                        return Ok(vec![IndexTask::DeleteIndex {
-                            index_row: old_key,
-                            ts: old_ts,
-                        }]);
-                    }
+            Ok(match read_index_values(&cluster, &spec, &row, old_ts)? {
+                Some(old) if Some(&old) != new_vals.as_ref() => {
+                    delete_old_entry(&cluster, &spec, &row, &old, old_ts)
                 }
-            }
-            Ok(Vec::new())
-        }));
-    }
+                _ => None,
+            })
+        })
+    };
 
     let metrics = auq.metrics();
     metrics.fanout_dispatches.fetch_add(1, Ordering::Relaxed);
-    metrics.fanout_tasks.fetch_add(arms.len() as u64, Ordering::Relaxed);
-    let results = cluster.fanout().run(arms);
+    metrics.fanout_tasks.fetch_add(2, Ordering::Relaxed);
+    let results = cluster.fanout().run(vec![su2, su3_su4]);
 
     // Failed index ops degrade to the AUQ as one atomically admitted batch;
     // a read error in either arm surfaces after both arms have finished
@@ -150,211 +156,62 @@ fn sync_update(
     let mut first_err = None;
     for result in results {
         match result {
-            Ok(mut tasks) => retries.append(&mut tasks),
+            Ok(retry) => retries.extend(retry),
             Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+                first_err.get_or_insert(e);
             }
         }
     }
-    if let Admission::Rejected(n) = auq.enqueue_many(retries) {
-        if first_err.is_none() {
-            first_err = Some(crate::error::IndexError::AuqFull { rejected: n });
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    let admission = admitted(auq.enqueue_many(retries));
+    first_err.map_or(admission, Err)
 }
 
 /// Synchronous handling of a base delete: remove the index entry of the
 /// pre-image (used by `sync-full`; `sync-insert` leaves it for read-repair).
-fn sync_delete(
-    cluster: &Cluster,
-    spec: &IndexSpec,
-    auq: &Auq,
-    row: &[u8],
-    ts: u64,
-) -> Result<()> {
-    if let Some(old) = read_index_values(cluster, spec, row, ts - DELTA)? {
-        let old_key = index_row(&old, row);
-        if cluster
-            .raw_delete(&spec.index_table(), &old_key, &[Bytes::new()], ts - DELTA)
-            .is_err()
-        {
-            if let Admission::Rejected(n) =
-                auq.enqueue(IndexTask::DeleteIndex { index_row: old_key, ts: ts - DELTA })
-            {
-                return Err(crate::error::IndexError::AuqFull { rejected: n });
-            }
-        }
-    }
-    Ok(())
+fn sync_delete(cluster: &Cluster, spec: &IndexSpec, auq: &Auq, row: &[u8], ts: u64) -> Result<()> {
+    let retry = read_index_values(cluster, spec, row, ts - DELTA)?
+        .and_then(|old| delete_old_entry(cluster, spec, row, &old, ts - DELTA));
+    admitted(auq.enqueue_many(retry))
 }
 
-macro_rules! replay_and_flush_impl {
-    () => {
-        fn pre_flush(&self, _cluster: &Cluster, _table: &str) {
-            // Figure 5: pause intake, drain pending work, then let the base
-            // memtable flush and roll its WAL forward — this keeps
-            // PR(Flushed) = ∅ so the WAL stays a valid log for the AUQ.
-            self.auq.pause_and_drain();
-        }
-
-        fn post_flush(&self, _cluster: &Cluster, _table: &str) {
-            self.auq.resume();
-        }
-
-        fn pre_recovery(&self, _cluster: &Cluster, _table: &str) {
-            // §5.3: the AUQ is blocked inside the recovery window. Workers
-            // hold (tasks routed to dead regions would only burn retries
-            // against ServerDown) while intake stays open so WAL-replay
-            // re-enqueues land in the queue; any capacity bound is waived
-            // under the hold so the handover cannot deadlock.
-            self.auq.hold_for_recovery();
-        }
-
-        fn post_recovery(&self, _cluster: &Cluster, _table: &str) {
-            // Regions are reassigned and replayed; queued tasks now drain
-            // against their new owners — the AUQ handover.
-            self.auq.release_recovery_hold();
-        }
-
-        fn post_replay(&self, _cluster: &Cluster, _table: &str, op: &ReplayedOp) -> Result2<()> {
-            // §5.3: every replayed base op is re-enqueued, whether or not it
-            // was delivered before the crash. Idempotent because the index
-            // entry timestamp equals the base timestamp.
-            match op {
-                ReplayedOp::Put { row, column, value, ts } => {
-                    if self.spec.columns.iter().any(|c| c.as_ref() == column.as_slice()) {
-                        self.auq.enqueue(IndexTask::Maintain {
-                            row: Bytes::copy_from_slice(row),
-                            ts: *ts,
-                            is_delete: false,
-                            put_columns: vec![(
-                                Bytes::copy_from_slice(column),
-                                value.clone(),
-                            )],
-                        });
-                    }
-                }
-                ReplayedOp::Delete { row, column, ts } => {
-                    if self.spec.columns.iter().any(|c| c.as_ref() == column.as_slice()) {
-                        self.auq.enqueue(IndexTask::Maintain {
-                            row: Bytes::copy_from_slice(row),
-                            ts: *ts,
-                            is_delete: true,
-                            put_columns: Vec::new(),
-                        });
-                    }
-                }
-            }
-            Ok(())
-        }
-    };
-}
-
-use diff_index_cluster::Result as Result2;
-
-/// Coprocessor for the `sync-full` scheme (Algorithm 1).
-pub struct SyncFullObserver {
+/// The coprocessor of one index. Every scheme owns an AUQ: the async
+/// schemes queue all index maintenance there (Algorithm 3), the sync schemes
+/// only failed index operations (§6.2).
+pub struct SchemeObserver {
     spec: Arc<IndexSpec>,
     auq: Arc<Auq>,
 }
 
-/// Coprocessor for the `sync-insert` scheme (§4.2).
-pub struct SyncInsertObserver {
-    spec: Arc<IndexSpec>,
-    auq: Arc<Auq>,
-}
-
-/// Coprocessor for `async-simple` and `async-session` (Algorithms 3–4);
-/// session consistency is layered on the client side (§5.2), so the server
-/// side of both schemes is identical.
-pub struct AsyncObserver {
-    spec: Arc<IndexSpec>,
-    auq: Arc<Auq>,
-}
-
-impl SyncFullObserver {
-    /// Build the observer (and its failure-retry AUQ) for `spec`.
+impl SchemeObserver {
+    /// Build the observer and its AUQ (one APS worker) for `spec`.
     pub fn new(cluster: &Cluster, spec: Arc<IndexSpec>) -> Self {
-        Self::with_workers(cluster, spec, 1)
-    }
-
-    /// Like [`SyncFullObserver::new`] with `workers` retry-queue threads.
-    pub fn with_workers(cluster: &Cluster, spec: Arc<IndexSpec>, workers: usize) -> Self {
-        Self::with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
-    }
-
-    /// Full control over the retry queue: worker count, capacity bound and
-    /// admission policy.
-    pub fn with_options(cluster: &Cluster, spec: Arc<IndexSpec>, opts: AuqOptions) -> Self {
-        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
+        let auq = Auq::start(cluster.downgrade(), Arc::clone(&spec));
         Self { spec, auq }
     }
 
-    /// The failure-retry queue.
+    /// The index's update queue.
     pub fn auq(&self) -> &Arc<Auq> {
         &self.auq
     }
-}
 
-impl SyncInsertObserver {
-    /// Build the observer (and its failure-retry AUQ) for `spec`.
-    pub fn new(cluster: &Cluster, spec: Arc<IndexSpec>) -> Self {
-        Self::with_workers(cluster, spec, 1)
-    }
-
-    /// Like [`SyncInsertObserver::new`] with `workers` retry-queue threads.
-    pub fn with_workers(cluster: &Cluster, spec: Arc<IndexSpec>, workers: usize) -> Self {
-        Self::with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
-    }
-
-    /// Full control over the retry queue: worker count, capacity bound and
-    /// admission policy.
-    pub fn with_options(cluster: &Cluster, spec: Arc<IndexSpec>, opts: AuqOptions) -> Self {
-        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
-        Self { spec, auq }
-    }
-
-    /// The failure-retry queue.
-    pub fn auq(&self) -> &Arc<Auq> {
-        &self.auq
+    /// Queue full asynchronous maintenance (Algorithm 4) of one base write.
+    /// `put_columns` is `None` for a delete.
+    fn maintain_later(
+        &self,
+        row: &[u8],
+        ts: u64,
+        put_columns: Option<Vec<ColumnValue>>,
+    ) -> Result<()> {
+        admitted(self.auq.enqueue(IndexTask::Maintain {
+            row: Bytes::copy_from_slice(row),
+            ts,
+            is_delete: put_columns.is_none(),
+            put_columns: put_columns.unwrap_or_default(),
+        }))
     }
 }
 
-impl AsyncObserver {
-    /// Build the observer and its AUQ/APS for `spec`.
-    pub fn new(cluster: &Cluster, spec: Arc<IndexSpec>) -> Self {
-        Self::with_workers(cluster, spec, 1)
-    }
-
-    /// Like [`AsyncObserver::new`] with `workers` APS threads draining the
-    /// queue in parallel — the knob behind the paper's observation that APS
-    /// throughput bounds index staleness (§8.4, Figure 11).
-    pub fn with_workers(cluster: &Cluster, spec: Arc<IndexSpec>, workers: usize) -> Self {
-        Self::with_options(cluster, spec, AuqOptions { workers, ..AuqOptions::default() })
-    }
-
-    /// Full control over the queue: worker count, capacity bound and
-    /// admission policy — a bounded queue turns a wedged or lagging APS
-    /// into backpressure (`Block`) or fast-fail (`Reject`) instead of
-    /// unbounded memory growth.
-    pub fn with_options(cluster: &Cluster, spec: Arc<IndexSpec>, opts: AuqOptions) -> Self {
-        let auq = Auq::start_with_options(cluster.downgrade(), Arc::clone(&spec), opts);
-        Self { spec, auq }
-    }
-
-    /// The asynchronous update queue.
-    pub fn auq(&self) -> &Arc<Auq> {
-        &self.auq
-    }
-}
-
-impl TableObserver for SyncFullObserver {
+impl TableObserver for SchemeObserver {
     fn post_put(
         &self,
         cluster: &Cluster,
@@ -362,12 +219,28 @@ impl TableObserver for SyncFullObserver {
         row: &[u8],
         columns: &[ColumnValue],
         ts: u64,
-    ) -> Result2<()> {
-        if !self.spec.touches(&columns.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>()) {
+    ) -> diff_index_cluster::Result<()> {
+        if !self.spec.touches(columns.iter().map(|(c, _)| c)) {
             return Ok(());
         }
-        sync_update(cluster, &self.spec, &self.auq, row, columns, ts, true)
-            .map_err(into_cluster_err)
+        match self.spec.scheme {
+            // Algorithm 1: SU2 ∥ SU3→SU4.
+            IndexScheme::SyncFull => {
+                sync_update(cluster, &self.spec, &self.auq, row, columns, ts, true)
+            }
+            // §4.2, SU2 only: the old entry is left stale, to be repaired by
+            // the read path (Algorithm 2).
+            IndexScheme::SyncInsert => {
+                sync_update(cluster, &self.spec, &self.auq, row, columns, ts, false)
+            }
+            // AU1 (Algorithm 3): the base put is already logged + in the
+            // memtable; just enqueue and return, the client is acked right
+            // away.
+            IndexScheme::AsyncSimple | IndexScheme::AsyncSession => {
+                self.maintain_later(row, ts, Some(columns.to_vec()))
+            }
+        }
+        .map_err(into_cluster_err)
     }
 
     fn post_delete(
@@ -377,124 +250,85 @@ impl TableObserver for SyncFullObserver {
         row: &[u8],
         columns: &[Bytes],
         ts: u64,
-    ) -> Result2<()> {
+    ) -> diff_index_cluster::Result<()> {
         if !self.spec.touches(columns) {
             return Ok(());
         }
-        sync_delete(cluster, &self.spec, &self.auq, row, ts).map_err(into_cluster_err)
-    }
-
-    replay_and_flush_impl!();
-}
-
-impl TableObserver for SyncInsertObserver {
-    fn post_put(
-        &self,
-        cluster: &Cluster,
-        _table: &str,
-        row: &[u8],
-        columns: &[ColumnValue],
-        ts: u64,
-    ) -> Result2<()> {
-        if !self.spec.touches(&columns.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>()) {
-            return Ok(());
+        match self.spec.scheme {
+            IndexScheme::SyncFull => sync_delete(cluster, &self.spec, &self.auq, row, ts),
+            // The now-stale entry is repaired at read time.
+            IndexScheme::SyncInsert => Ok(()),
+            IndexScheme::AsyncSimple | IndexScheme::AsyncSession => {
+                self.maintain_later(row, ts, None)
+            }
         }
-        // SU1–SU2 only: the old entry is left stale, to be repaired by the
-        // read path (Algorithm 2).
-        sync_update(cluster, &self.spec, &self.auq, row, columns, ts, false)
-            .map_err(into_cluster_err)
+        .map_err(into_cluster_err)
     }
 
-    fn post_delete(
+    fn pre_flush(&self, _cluster: &Cluster, _table: &str) {
+        // Figure 5: pause intake, drain pending work, then let the base
+        // memtable flush and roll its WAL forward — this keeps
+        // PR(Flushed) = ∅ so the WAL stays a valid log for the AUQ.
+        self.auq.pause_and_drain();
+    }
+
+    fn post_flush(&self, _cluster: &Cluster, _table: &str) {
+        self.auq.resume();
+    }
+
+    fn pre_recovery(&self, _cluster: &Cluster, _table: &str) {
+        // §5.3: the AUQ is blocked inside the recovery window. Workers
+        // hold (tasks routed to dead regions would only burn retries
+        // against ServerDown) while intake stays open so WAL-replay
+        // re-enqueues land in the queue; any capacity bound is waived
+        // under the hold so the handover cannot deadlock.
+        self.auq.hold_for_recovery();
+    }
+
+    fn post_recovery(&self, _cluster: &Cluster, _table: &str) {
+        // Regions are reassigned and replayed; queued tasks now drain
+        // against their new owners — the AUQ handover.
+        self.auq.release_recovery_hold();
+    }
+
+    fn post_replay(
         &self,
         _cluster: &Cluster,
         _table: &str,
-        _row: &[u8],
-        _columns: &[Bytes],
-        _ts: u64,
-    ) -> Result2<()> {
-        // Nothing: the now-stale entry is repaired at read time.
+        op: &ReplayedOp,
+    ) -> diff_index_cluster::Result<()> {
+        // §5.3: every replayed base op is re-enqueued, whether or not it
+        // was delivered before the crash. Idempotent because the index
+        // entry timestamp equals the base timestamp.
+        let (row, column) = match op {
+            ReplayedOp::Put { row, column, .. } | ReplayedOp::Delete { row, column, .. } => {
+                (row, column)
+            }
+        };
+        if !self.spec.columns.iter().any(|c| c.as_ref() == column.as_slice()) {
+            return Ok(());
+        }
+        let put_columns = match op {
+            ReplayedOp::Put { value, .. } => {
+                Some(vec![(Bytes::copy_from_slice(column), value.clone())])
+            }
+            ReplayedOp::Delete { .. } => None,
+        };
+        // The recovery hold waives any capacity bound, so this is admitted.
+        let _ = self.maintain_later(row, op.ts(), put_columns);
         Ok(())
     }
-
-    replay_and_flush_impl!();
 }
 
-impl TableObserver for AsyncObserver {
-    fn post_put(
-        &self,
-        _cluster: &Cluster,
-        _table: &str,
-        row: &[u8],
-        columns: &[ColumnValue],
-        ts: u64,
-    ) -> Result2<()> {
-        // AU1 (Algorithm 3): the base put is already logged + in the
-        // memtable; just enqueue and return, the client is acked right away.
-        if !self.spec.touches(&columns.iter().map(|(c, _)| c.clone()).collect::<Vec<_>>()) {
-            return Ok(());
-        }
-        match self.auq.enqueue(IndexTask::Maintain {
-            row: Bytes::copy_from_slice(row),
-            ts,
-            is_delete: false,
-            put_columns: columns.to_vec(),
-        }) {
-            Admission::Admitted => Ok(()),
-            Admission::Rejected(n) => {
-                Err(into_cluster_err(crate::error::IndexError::AuqFull { rejected: n }))
-            }
-        }
+impl Drop for SchemeObserver {
+    fn drop(&mut self) {
+        self.auq.shutdown();
     }
-
-    fn post_delete(
-        &self,
-        _cluster: &Cluster,
-        _table: &str,
-        row: &[u8],
-        columns: &[Bytes],
-        ts: u64,
-    ) -> Result2<()> {
-        if !self.spec.touches(columns) {
-            return Ok(());
-        }
-        match self.auq.enqueue(IndexTask::Maintain {
-            row: Bytes::copy_from_slice(row),
-            ts,
-            is_delete: true,
-            put_columns: Vec::new(),
-        }) {
-            Admission::Admitted => Ok(()),
-            Admission::Rejected(n) => {
-                Err(into_cluster_err(crate::error::IndexError::AuqFull { rejected: n }))
-            }
-        }
-    }
-
-    replay_and_flush_impl!();
 }
 
-fn into_cluster_err(e: crate::error::IndexError) -> diff_index_cluster::ClusterError {
+fn into_cluster_err(e: IndexError) -> diff_index_cluster::ClusterError {
     match e {
-        crate::error::IndexError::Cluster(c) => c,
+        IndexError::Cluster(c) => c,
         other => diff_index_cluster::ClusterError::Unavailable(other.to_string()),
-    }
-}
-
-impl Drop for SyncFullObserver {
-    fn drop(&mut self) {
-        self.auq.shutdown();
-    }
-}
-
-impl Drop for SyncInsertObserver {
-    fn drop(&mut self) {
-        self.auq.shutdown();
-    }
-}
-
-impl Drop for AsyncObserver {
-    fn drop(&mut self) {
-        self.auq.shutdown();
     }
 }

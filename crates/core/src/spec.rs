@@ -130,8 +130,8 @@ impl IndexSpec {
     }
 
     /// True if a put/delete touching `columns` affects this index.
-    pub fn touches(&self, columns: &[Bytes]) -> bool {
-        self.columns.iter().any(|ic| columns.iter().any(|c| c == ic))
+    pub fn touches<'a>(&self, columns: impl IntoIterator<Item = &'a Bytes>) -> bool {
+        columns.into_iter().any(|c| self.columns.contains(c))
     }
 }
 

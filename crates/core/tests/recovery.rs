@@ -305,3 +305,77 @@ fn double_replay_of_same_wal_segment_does_not_duplicate_entries() {
         }
     }
 }
+
+// --- the crash-mid-put hook on every client write kind ----------------------
+
+/// Arm the §5.3 crash-mid-put fault, run `write` (which must fail with
+/// `ServerDown` after its base write is durable), then recover and check
+/// that the sync-full index converges on the base table.
+fn crash_mid_write(
+    cluster: &Cluster,
+    di: &DiffIndex,
+    write: impl FnOnce() -> diff_index_cluster::Result<()>,
+) {
+    cluster.faults().arm_crash_on_next_put();
+    match write() {
+        Err(diff_index_cluster::ClusterError::ServerDown(_)) => {}
+        other => panic!("the armed crash must fail the write with ServerDown, got {other:?}"),
+    }
+    assert_eq!(cluster.faults().fired_put_crashes(), 1);
+    assert!(!cluster.faults().anything_armed(), "the trigger is consumed");
+    cluster.recover().unwrap();
+    di.quiesce("item");
+    let spec = di.index("item", "title").unwrap().spec.clone();
+    let report = diff_index_core::verify_index(cluster, &spec).unwrap();
+    assert!(report.is_clean(), "index diverged after recovery: {:?}", report.divergences);
+}
+
+fn title_of(cluster: &Cluster, row: &str) -> Option<Bytes> {
+    cluster.get("item", row.as_bytes(), b"item_title", u64::MAX).unwrap().map(|v| v.value)
+}
+
+#[test]
+fn crash_mid_put_batch_spanning_servers_recovers() {
+    let (_d, cluster, di) = setup(IndexScheme::SyncFull, 2);
+    let rows: Vec<String> =
+        (0..16).map(|i| format!("{}row{i:02}", (b'a' + i * 13) as char)).collect();
+    let owners: Vec<u32> =
+        rows.iter().map(|r| cluster.server_for_row("item", r.as_bytes()).unwrap()).collect();
+    assert!(owners.contains(&0) && owners.contains(&1), "the batch must span both servers");
+    for r in &rows {
+        cluster.put("item", r.as_bytes(), &[(b("item_title"), b("old"))]).unwrap();
+    }
+    let batch: Vec<(Bytes, Vec<(Bytes, Bytes)>)> =
+        rows.iter().map(|r| (b(r), vec![(b("item_title"), b("new"))])).collect();
+    crash_mid_write(&cluster, &di, || cluster.put_batch("item", &batch).map(drop));
+    for r in &rows {
+        assert_eq!(title_of(&cluster, r), Some(b("new")), "{r}: the durable base write survives");
+    }
+    assert!(di.get_by_index("item", "title", b"old", 100).unwrap().is_empty());
+    assert_eq!(di.get_by_index("item", "title", b"new", 100).unwrap().len(), rows.len());
+}
+
+#[test]
+fn crash_mid_delete_recovers() {
+    let (_d, cluster, di) = setup(IndexScheme::SyncFull, 2);
+    cluster.put("item", b"item1", &[(b("item_title"), b("doomed"))]).unwrap();
+    cluster.put("item", b"item2", &[(b("item_title"), b("kept"))]).unwrap();
+    crash_mid_write(&cluster, &di, || {
+        cluster.delete("item", b"item1", &[b("item_title")]).map(drop)
+    });
+    assert_eq!(title_of(&cluster, "item1"), None, "the durable delete survives");
+    assert!(di.get_by_index("item", "title", b"doomed", 100).unwrap().is_empty());
+    assert_eq!(di.get_by_index("item", "title", b"kept", 100).unwrap().len(), 1);
+}
+
+#[test]
+fn crash_mid_put_returning_recovers() {
+    let (_d, cluster, di) = setup(IndexScheme::SyncFull, 2);
+    cluster.put("item", b"item1", &[(b("item_title"), b("before"))]).unwrap();
+    crash_mid_write(&cluster, &di, || {
+        cluster.put_returning("item", b"item1", &[(b("item_title"), b("after"))]).map(drop)
+    });
+    assert_eq!(title_of(&cluster, "item1"), Some(b("after")));
+    assert!(di.get_by_index("item", "title", b"before", 100).unwrap().is_empty());
+    assert_eq!(di.get_by_index("item", "title", b"after", 100).unwrap().len(), 1);
+}

@@ -228,6 +228,31 @@ fn async_simple_heavy_write_batch_converges() {
     }
 }
 
+#[test]
+fn async_staleness_counts_time_spent_queued_under_load() {
+    // A burst of puts to one region outruns the wall clock, so the region's
+    // timestamp oracle stamps them up to seconds ahead of it. Staleness
+    // measured as "completion wall time − base timestamp" then reads ≈ 0
+    // even though every task below sits in a stalled queue for 200 ms.
+    let dir = TempDir::new("diffidx").unwrap();
+    let cluster = Cluster::new(dir.path(), ClusterOptions::default()).unwrap();
+    cluster.create_table("item", 1).unwrap();
+    let di = DiffIndex::new(cluster.clone());
+    let spec = IndexSpec::single("title", "item", "item_title", IndexScheme::AsyncSimple);
+    let auq = std::sync::Arc::clone(di.create_index(spec, 1).unwrap().auq());
+    auq.set_stalled(true);
+    for i in 0..2000 {
+        put_title(&cluster, &format!("item{i:04}"), "burst");
+    }
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    auq.set_stalled(false);
+    di.quiesce("item");
+    let m = auq.metrics();
+    assert_eq!(m.completed.load(std::sync::atomic::Ordering::Relaxed), 2000);
+    assert!(m.mean_lag_ms() >= 200.0, "mean lag {} ms after a 200 ms stall", m.mean_lag_ms());
+    assert!(m.lag_max_ms.load(std::sync::atomic::Ordering::Relaxed) >= 200);
+}
+
 // --- async-session -----------------------------------------------------------
 
 #[test]

@@ -49,6 +49,7 @@ use crate::types::{Cell, CellKind, InternalKey, LsmError, Result, Timestamp, Ver
 use crate::wal::{replay, WalWriter};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
+use std::cell::OnceCell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -573,6 +574,7 @@ impl LsmTree {
         let seek = InternalKey::seek_to(Bytes::copy_from_slice(start), Timestamp::MAX);
         let end_owned: Option<Bytes> = end.map(Bytes::copy_from_slice);
 
+        let table_error = OnceCell::new();
         let active_guard = snap.active.read();
         let frozen_guards: Vec<_> = snap.frozen.iter().map(|m| m.read()).collect();
         let mut sources: Vec<Box<dyn Iterator<Item = Cell> + '_>> = Vec::new();
@@ -583,7 +585,7 @@ impl LsmTree {
         for table in &snap.tables {
             let end_for_table = end_owned.clone();
             let it = table
-                .iter_from(Some(&seek))
+                .iter_from(Some(&seek), &table_error)
                 .take_while(move |c| match &end_for_table {
                     Some(e) => c.key.user_key < *e,
                     None => true,
@@ -591,11 +593,16 @@ impl LsmTree {
             sources.push(Box::new(it));
         }
         let merged = MergeIter::new(sources);
-        let visible = VisibleIter::new(merged, ts);
-        Ok(visible
+        let rows: Vec<_> = VisibleIter::new(merged, ts)
             .take(limit)
             .map(|c| (c.key.user_key, VersionedValue { value: c.value, ts: c.key.ts }))
-            .collect())
+            .collect();
+        // A table that stopped early hid rows: fail rather than return a
+        // silently short result.
+        match table_error.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(rows),
+        }
     }
 
     // -- maintenance ---------------------------------------------------------
@@ -764,15 +771,23 @@ impl LsmTree {
             no
         };
         let path = table_path(&self.dir, file_no);
+        let table_error = OnceCell::new();
         let sources: Vec<Box<dyn Iterator<Item = Cell> + '_>> =
-            tables.iter().map(|t| Box::new(t.iter_from(None)) as _).collect();
-        let merged = MergeIter::new(sources);
-        let mut gc = gc_merge(merged, policy);
+            tables.iter().map(|t| Box::new(t.iter_from(None, &table_error)) as _).collect();
+        let mut gc = gc_merge(MergeIter::new(sources), policy);
         let mut builder = TableBuilder::create(&path, self.opts.table.clone())?;
         for cell in gc.by_ref() {
             builder.add(&cell)?;
         }
         let stats = gc.stats();
+        drop(gc);
+        if let Some(e) = table_error.into_inner() {
+            // An input stopped early: the merged output would silently
+            // lose its unread cells. Publish nothing and keep every input.
+            drop(builder);
+            let _ = std::fs::remove_file(&path);
+            return Err(e);
+        }
         Metrics::add(
             &self.metrics.gc_dropped_cells,
             stats.dropped_versions + stats.dropped_tombstones,

@@ -25,6 +25,7 @@ use crate::util::{
     put_varint,
 };
 use bytes::Bytes;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -678,8 +679,15 @@ impl Table {
     }
 
     /// Iterator over all cells from the first internal key `>= seek`
-    /// (or from the beginning when `seek` is `None`).
-    pub fn iter_from(&self, seek: Option<&InternalKey>) -> TableIter<'_> {
+    /// (or from the beginning when `seek` is `None`). A block that cannot be
+    /// read ends the iteration early and leaves its error in `error`, which
+    /// the caller must check once iteration is done: a short stream is
+    /// otherwise indistinguishable from the end of the table.
+    pub fn iter_from<'a>(
+        &'a self,
+        seek: Option<&InternalKey>,
+        error: &'a OnceCell<LsmError>,
+    ) -> TableIter<'a> {
         let (block, pos) = match seek {
             None => (0, 0),
             Some(k) => (self.block_for(k), 0),
@@ -689,7 +697,7 @@ impl Table {
             block,
             data: None,
             pos,
-            error: None,
+            error,
         };
         if let Some(k) = seek {
             it.skip_to(k);
@@ -710,7 +718,8 @@ pub struct TableIter<'a> {
     block: usize,
     data: Option<Arc<Block>>,
     pos: usize,
-    error: Option<LsmError>,
+    /// Where a failed block read is reported (the first one wins).
+    error: &'a OnceCell<LsmError>,
 }
 
 impl<'a> TableIter<'a> {
@@ -725,7 +734,8 @@ impl<'a> TableIter<'a> {
                     self.pos = 0;
                 }
                 Err(e) => {
-                    self.error = Some(e);
+                    let _ = self.error.set(e);
+                    self.block = self.table.index.len();
                     return false;
                 }
             }
@@ -747,11 +757,6 @@ impl<'a> TableIter<'a> {
             self.data = None;
             self.block += 1;
         }
-    }
-
-    /// An I/O or corruption error encountered during iteration, if any.
-    pub fn take_error(&mut self) -> Option<LsmError> {
-        self.error.take()
     }
 }
 
@@ -854,8 +859,10 @@ mod tests {
         let dir = TempDir::new("sst").unwrap();
         let cells = many_cells(500);
         let t = build_table(&dir, &cells, TableOptions { block_size: 256, bloom_bits_per_key: 10 });
-        let got: Vec<Cell> = t.iter_from(None).collect();
+        let error = OnceCell::new();
+        let got: Vec<Cell> = t.iter_from(None, &error).collect();
         assert_eq!(got, cells);
+        assert!(error.get().is_none());
     }
 
     #[test]
@@ -864,7 +871,7 @@ mod tests {
         let cells = many_cells(100);
         let t = build_table(&dir, &cells, TableOptions { block_size: 64, bloom_bits_per_key: 10 });
         let seek = InternalKey::seek_to(Bytes::from("key000050"), u64::MAX);
-        let got: Vec<Cell> = t.iter_from(Some(&seek)).collect();
+        let got: Vec<Cell> = t.iter_from(Some(&seek), &OnceCell::new()).collect();
         assert_eq!(got.len(), 50);
         assert_eq!(got[0].key.user_key, Bytes::from("key000050"));
     }

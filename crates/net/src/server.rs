@@ -404,6 +404,15 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
                 Err(e) => (STATUS_ERR, wire::encode_error(e)),
             };
             let resp = wire::encode_frame(status, frame.request_id, &body);
+            // Record before answering: a client that reads the metrics
+            // after its own response must find its request counted.
+            job_inner.metrics.record(
+                op,
+                bytes_in,
+                resp.len() as u64,
+                t0.elapsed().as_micros() as u64,
+                status == STATUS_ERR,
+            );
             if job_inner.drop_next_response.swap(false, Ordering::SeqCst) {
                 // Fault injection: the request executed, but the client
                 // never hears back — its retry must be harmless.
@@ -413,13 +422,6 @@ fn conn_loop(inner: &Arc<Inner>, mut stream: TcpStream) {
                 let mut w = job_writer.lock();
                 let _ = w.write_all(&resp);
             }
-            job_inner.metrics.record(
-                op,
-                bytes_in,
-                resp.len() as u64,
-                t0.elapsed().as_micros() as u64,
-                status == STATUS_ERR,
-            );
             drop(guard);
         });
     }

@@ -128,39 +128,27 @@ fn rpcs_per_update_put_match_table_1() {
         let h = setup(scheme);
         let auq = std::sync::Arc::clone(h.local_di.index("item", "title").unwrap().auq());
         put_title(&h.client, "item1", "v1");
-        // The AUQ drains in the background, so a measurement window can be
-        // polluted by deferred ops landing inside it; detect that via the
-        // server-side completed counter and re-measure with a fresh value.
-        let mut measured = None;
-        for ver in 2..20 {
-            h.remote_di.quiesce("item"); // settle deferred work before measuring
-            let completed_before =
-                auq.metrics().completed.load(std::sync::atomic::Ordering::SeqCst);
-            let before = h.cluster.dispatch_metrics();
-            put_title(&h.client, "item1", &format!("v{ver}")); // value-changing update
-            let after = h.cluster.dispatch_metrics();
-            let completed_after =
-                auq.metrics().completed.load(std::sync::atomic::Ordering::SeqCst);
-            if completed_after != completed_before {
-                continue; // AUQ ran inside the window; the delta is not purely synchronous
-            }
-            measured = Some(after - before);
-            break;
-        }
-        let delta = measured.expect("no clean measurement window in 18 tries");
+        h.remote_di.quiesce("item"); // settle deferred work before measuring
+        // Hold the AUQ workers across the window: the deferred (APS) ops of
+        // the measured put itself would otherwise race into it, so only
+        // synchronous index ops can be counted.
+        auq.set_stalled(true);
+        let before = h.cluster.dispatch_metrics();
+        put_title(&h.client, "item1", "v2"); // value-changing update
+        let after = h.cluster.dispatch_metrics();
+        auq.set_stalled(false);
+        let delta = after - before;
         assert_eq!(delta.puts, 1, "{scheme:?}: exactly one base put");
         assert_eq!(
             delta.index_ops(),
             sync_index_ops,
             "{scheme:?}: synchronous index ops per update put (Table 1); delta = {delta:?}"
         );
+        // The deferred work exists — it shows up once the AUQ drains.
+        h.remote_di.quiesce("item");
         if scheme == IndexScheme::AsyncSimple {
-            // The deferred work exists — it shows up once the AUQ drains.
-            let before = h.cluster.dispatch_metrics();
-            h.remote_di.quiesce("item");
-            let after = h.cluster.dispatch_metrics();
             assert!(
-                (after - before).index_ops() >= 1,
+                (h.cluster.dispatch_metrics() - after).index_ops() >= 1,
                 "async work must surface after quiesce"
             );
         }

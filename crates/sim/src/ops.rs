@@ -196,6 +196,33 @@ mod tests {
     }
 
     #[test]
+    fn step_counts_match_core_cost_table() {
+        // Table 2 is encoded twice: as operation counts in `core::cost` and
+        // as step lists here. Hold the two to the same numbers.
+        use diff_index_core::{read_cost, update_cost};
+        let schemes = IndexScheme::all();
+        for scheme in std::iter::once(None).chain(schemes.map(Some)) {
+            let (op, cost) = (update_op(scheme), update_cost(scheme));
+            assert_eq!(op.sync_steps.len() as u32, cost.synchronous_ops(), "{scheme:?}");
+            assert_eq!(
+                op.background_steps.len() as u32,
+                cost.total_ops() - cost.synchronous_ops(),
+                "{scheme:?}"
+            );
+        }
+        for scheme in schemes {
+            for k in [0, 1, 5] {
+                let cost = read_cost(scheme, k);
+                assert_eq!(
+                    exact_read_op(scheme, u64::from(k)).sync_steps.len() as u32,
+                    cost.index_read + cost.base_read,
+                    "{scheme:?}, k = {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn background_service_is_batched() {
         let cfg = SimConfig::in_house();
         let s = Step::sync(StepKind::BaseRead);
